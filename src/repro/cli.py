@@ -747,7 +747,8 @@ def _cmd_demo(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.serve import AirFingerServer, ServeConfig, SessionManager
+    from repro.serve import (AirFingerServer, ServeConfig, SessionManager,
+                             UdpAirFingerServer)
 
     config = ServeConfig(
         max_queue_frames=args.max_queue, max_batch_frames=args.max_batch,
@@ -780,25 +781,8 @@ def _cmd_serve(args) -> int:
                              metrics=get_registry(), tracer=get_tracer())
 
     manager = SessionManager(config, engine_factory=engine_factory)
-    if args.udp:
-        from repro.serve import UdpAirFingerServer
-
-        udp_server = UdpAirFingerServer(manager, host=args.host,
-                                        port=args.port)
-
-        async def run_udp() -> None:
-            await udp_server.start()
-            print(f"serving UDP on {udp_server.host}:{udp_server.port} "
-                  f"(slo={config.latency_slo_s * 1e3:.0f}ms, "
-                  f"idle-timeout={config.idle_timeout_s:.0f}s)")
-            await asyncio.Event().wait()
-
-        try:
-            asyncio.run(run_udp())
-        except KeyboardInterrupt:
-            print("\nserve stopped")
-        return 0
-    server = AirFingerServer(
+    server_cls = UdpAirFingerServer if args.udp else AirFingerServer
+    server = server_cls(
         manager, host=args.host, port=args.port,
         telemetry=not args.no_telemetry,
         telemetry_interval_s=args.telemetry_interval,
@@ -808,7 +792,8 @@ def _cmd_serve(args) -> int:
         await server.start()
         telemetry = ("off" if server.telemetry is None
                      else f"{server.telemetry.interval_s:g}s")
-        print(f"serving on {server.host}:{server.port} "
+        print(f"serving{' UDP' if args.udp else ''} on "
+              f"{server.host}:{server.port} "
               f"(slo={config.latency_slo_s * 1e3:.0f}ms, "
               f"idle-timeout={config.idle_timeout_s:.0f}s, "
               f"telemetry={telemetry})")

@@ -3,9 +3,11 @@
 This package turns the single-stream :class:`~repro.core.pipeline.AirFinger`
 engine into a serving system: a :class:`~repro.serve.session.SessionManager`
 multiplexes N concurrent device streams through per-session engine
-instances with bounded queues and explicit backpressure, an asyncio
-front-end (:class:`~repro.serve.server.AirFingerServer`) speaks the
-versioned length-framed protocol of :mod:`repro.serve.protocol`, and the
+instances with bounded queues and explicit backpressure, the serve core
+(:class:`~repro.serve.core.ServeCore`) holds the session contract every
+transport shares, its TCP front-end
+(:class:`~repro.serve.server.AirFingerServer`) speaks the versioned
+length-framed protocol of :mod:`repro.serve.protocol`, and the
 load generator (:mod:`repro.serve.loadgen`) measures sessions/core, p99
 frame latency and deadline-miss rate against a live server.  The server
 also runs a live :class:`~repro.obs.telemetry.TelemetryPlane` by

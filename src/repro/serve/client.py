@@ -5,11 +5,15 @@ wants to talk to an ``airfinger serve`` process from Python.  One
 :class:`ServeClient` is one device session: connect + handshake, send
 frame batches, collect decoded pipeline events as they stream back, and
 close with a graceful ``bye`` that returns the server's flush tail.
+The datagram client (:class:`~repro.serve.udp.UdpServeClient`) reuses
+every request here; it replaces only the transport methods (``connect``,
+``_send``, ``_read_some``, ``close``) and resends its ``bye``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from collections import deque
 from typing import Iterable
@@ -155,12 +159,32 @@ class ServeClient:
             self._absorb(message)
         return True
 
+    async def _send(self, message: dict) -> None:
+        """Put one message on the wire."""
+        self._writer.write(protocol.encode_message(message))
+        await self._writer.drain()
+
+    async def _request(self, message: dict | None, done, what: str,
+                       timeout_s: float) -> None:
+        """Send *message* (if any), then read until ``done()`` holds.
+
+        Raises :class:`TimeoutError` past the deadline and
+        :class:`ConnectionError` if the server closes first.
+        """
+        if message is not None:
+            await self._send(message)
+        deadline = asyncio.get_running_loop().time() + timeout_s
+        while not done():
+            remaining = deadline - asyncio.get_running_loop().time()
+            if remaining <= 0:
+                raise TimeoutError(f"{what} timed out")
+            if not await self._read_some(remaining):
+                raise ConnectionError(f"server closed before {what}")
+
     # ------------------------------------------------------------------
     async def send_frames(self, frames: Iterable[RssFrame]) -> None:
         """Ship one frame batch."""
-        self._writer.write(protocol.encode_message(
-            protocol.frames_message(frames)))
-        await self._writer.drain()
+        await self._send(protocol.frames_message(frames))
 
     async def pump(self, timeout_s: float = 0.001) -> None:
         """Opportunistically absorb any events already on the wire."""
@@ -174,16 +198,9 @@ class ServeClient:
         (also appended to :attr:`rtts_s`).
         """
         seen = len(self.rtts_s)
-        self._writer.write(protocol.encode_message(
-            protocol.heartbeat(t=self._clock())))
-        await self._writer.drain()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while len(self.rtts_s) == seen:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("heartbeat echo timed out")
-            if not await self._read_some(remaining):
-                raise ConnectionError("server closed before echo")
+        await self._request(protocol.heartbeat(t=self._clock()),
+                            lambda: len(self.rtts_s) > seen,
+                            "heartbeat echo", timeout_s)
         return self.rtts_s[-1]
 
     async def watch(self, interval_s: float | None = None) -> None:
@@ -193,36 +210,20 @@ class ServeClient:
         reads (``pump``/:meth:`next_telemetry`).  ``interval_s <= 0``
         cancels the subscription.
         """
-        self._writer.write(protocol.encode_message(
-            protocol.watch(interval_s)))
-        await self._writer.drain()
+        await self._send(protocol.watch(interval_s))
 
     async def next_telemetry(self, timeout_s: float = 10.0) -> dict:
         """Block until one telemetry tick arrives; returns its payload."""
-        if self.telemetry:
-            return self.telemetry.popleft()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while not self.telemetry:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("telemetry push timed out")
-            if not await self._read_some(remaining):
-                raise ConnectionError("server closed while watching")
+        await self._request(None, lambda: bool(self.telemetry),
+                            "telemetry push", timeout_s)
         return self.telemetry.popleft()
 
     async def stats(self, timeout_s: float = 10.0) -> dict:
         """Fetch the server's stats snapshot (includes metrics)."""
         self._stats = None
-        self._writer.write(protocol.encode_message(
-            protocol.stats_request()))
-        await self._writer.drain()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self._stats is None:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("stats reply timed out")
-            if not await self._read_some(remaining):
-                raise ConnectionError("server closed before stats reply")
+        await self._request(protocol.stats_request(),
+                            lambda: self._stats is not None,
+                            "stats reply", timeout_s)
         return self._stats
 
     async def checkpoint(self, tenant: str, session: str,
@@ -235,16 +236,9 @@ class ServeClient:
         server reports no such live session.
         """
         self._checkpoint = None
-        self._writer.write(protocol.encode_message(
-            protocol.checkpoint_request(tenant, session)))
-        await self._writer.drain()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self._checkpoint is None:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("checkpoint reply timed out")
-            if not await self._read_some(remaining):
-                raise ConnectionError("server closed before checkpoint")
+        await self._request(protocol.checkpoint_request(tenant, session),
+                            lambda: self._checkpoint is not None,
+                            "checkpoint reply", timeout_s)
         reply = self._checkpoint
         if reply.get("state") is None:
             raise protocol.ProtocolError(
@@ -254,16 +248,9 @@ class ServeClient:
     async def restore(self, state: dict, timeout_s: float = 30.0) -> str:
         """Adopt a checkpointed session on this server; returns its id."""
         self._restore_ack = None
-        self._writer.write(protocol.encode_message(
-            protocol.restore_request(state)))
-        await self._writer.drain()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self._restore_ack is None:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("restore reply timed out")
-            if not await self._read_some(remaining):
-                raise ConnectionError("server closed before restore ack")
+        await self._request(protocol.restore_request(state),
+                            lambda: self._restore_ack is not None,
+                            "restore reply", timeout_s)
         reply = self._restore_ack
         if reply.get("session") is None:
             raise protocol.ProtocolError(
@@ -276,18 +263,14 @@ class ServeClient:
         Sends ``bye``, then reads until the server's answering ``bye``
         (which follows the final drain + flush tail) or the stream ends.
         """
-        self._writer.write(protocol.encode_message(protocol.bye()))
-        await self._writer.drain()
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while not self._bye_seen:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("bye handshake timed out")
-            if not await self._read_some(remaining):
-                break
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        with contextlib.suppress(ConnectionError):
+            await self._request(protocol.bye(), lambda: self._bye_seen,
+                                "bye handshake", timeout_s)
+        await self.close()
         return self.events
+
+    async def close(self) -> None:
+        """Drop the connection without a ``bye``."""
+        self._writer.close()
+        with contextlib.suppress(ConnectionError, OSError):
+            await self._writer.wait_closed()

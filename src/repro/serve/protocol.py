@@ -251,11 +251,18 @@ def frames_message(frames: Iterable[RssFrame] | FrameBlock) -> dict:
     return {"type": "frames", "frames": payload}
 
 
+def _decode_frame(index, time_s, values) -> RssFrame:
+    if not isinstance(values, list) or not values:
+        raise ProtocolError(
+            f"frame values must be a non-empty list, got {values!r}")
+    return RssFrame(index=int(index), time_s=float(time_s),
+                    values=tuple(float(v) for v in values))
+
+
 def decode_frames(message: dict) -> list[RssFrame]:
     """Rebuild the :class:`RssFrame` batch of a ``frames`` message."""
     try:
-        return [RssFrame(index=int(index), time_s=float(time_s),
-                         values=tuple(float(v) for v in values))
+        return [_decode_frame(index, time_s, values)
                 for index, time_s, values in message["frames"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed frames payload: {exc}")

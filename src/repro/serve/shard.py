@@ -26,6 +26,12 @@ metrics registry and telemetry plane, and a parent-side
 * **Sessions migrate**: :meth:`ShardCluster.migrate` checkpoints a live
   session off one worker and restores it on another (see
   :mod:`repro.serve.checkpoint`) with zero lost events.
+
+The control server is the TCP :class:`~repro.serve.server.AirFingerServer`
+with three :class:`~repro.serve.core.ServeCore` hooks overridden — the
+``hello_ack`` (adds the shard listing), the ``stats`` payload (the
+merged view) and the telemetry tick (refreshes the merge first); every
+other session semantic is the serve core's.
 """
 
 from __future__ import annotations
@@ -120,10 +126,7 @@ def _worker_main(shard_index: int, host: str, port: int, reuse_port: bool,
         await server.start()
         pipe.send({"shard": shard_index, "host": host, "port": server.port})
         pipe.close()
-        try:
-            await server._server.serve_forever()
-        finally:
-            await server.stop()
+        await server.serve_forever()
 
     try:
         asyncio.run(main())

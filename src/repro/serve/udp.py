@@ -1,4 +1,4 @@
-"""UDP datagram transport for the serving protocol.
+"""UDP datagram transport of the serve core.
 
 Thousands of battery-powered devices streaming 100 Hz sensor frames do
 not want a TCP connection each: head-of-line blocking turns one lost
@@ -6,11 +6,17 @@ packet into a latency spike for every frame behind it, and connection
 state is pure overhead for a fire-and-forget sensor feed.  This module
 carries the *same* JSON messages as :mod:`repro.serve.protocol` over
 UDP — one message per datagram, no length prefix (the datagram boundary
-is the frame) — with **per-datagram session addressing**: since there is
-no connection to hang identity on, every data-plane message carries its
-``tenant``/``session`` fields and the server replies to the datagram's
-source address (last seen wins, so a device re-appearing behind a new
-NAT port keeps its session).
+is the frame).  It holds only the transport: the datagram codec, the
+address routing and the client.  Every session semantic (handshake,
+dispatch, pump, heartbeats, eviction, stats, ``watch``,
+checkpoint/restore) is :class:`~repro.serve.core.ServeCore`'s, shared
+with the TCP server.
+
+**Per-datagram session addressing.**  With no connection to hang
+identity on, every datagram after the ``hello`` carries its
+``tenant``/``session`` fields; the server routes it to that session and
+replies to the datagram's source address (last seen wins, so a device
+re-appearing behind a new NAT port keeps its session).
 
 Loss and reordering need no protocol machinery at all: a dropped
 datagram drops a run of frame indices, and the pipeline already turns
@@ -21,11 +27,21 @@ loopback suite pins both halves of that contract: with no loss the UDP
 event stream is ``repr``-identical to TCP's, and under a seeded drop
 schedule the only divergence is the gap events themselves.
 
-What UDP deliberately does not guarantee here: event delivery.  Events
-ride back as datagrams to the last known address; a lost event datagram
-is gone (devices that need reliable event delivery use the TCP front-end
-or subscribe elsewhere).  The serving metrics remain authoritative
-either way — they are recorded server-side at dispatch.
+What UDP does not guarantee here:
+
+* **event delivery** — events ride back as datagrams to the last known
+  address, with no sequence numbers; a lost event datagram is gone and
+  the client cannot tell (devices that need reliable event delivery use
+  the TCP front-end).  The serving metrics remain authoritative either
+  way — they are recorded server-side at dispatch;
+* **session ownership** — the reply address is last-source-wins with no
+  secret, so any host that knows a ``tenant``/``session`` pair can
+  redirect that session's events to itself;
+* **large replies** — a reply must fit one datagram
+  (:data:`MAX_DATAGRAM_BYTES`); a bigger ``stats_reply`` or
+  ``checkpoint_reply`` is answered with an ``error`` instead; a refused
+  checkpoint keeps the session on this server, and its device must send
+  a new ``hello`` to reach it.
 """
 
 from __future__ import annotations
@@ -36,7 +52,8 @@ import json
 import time
 
 from repro.serve import protocol
-from repro.serve.session import ServeSession, SessionManager
+from repro.serve.client import ServeClient
+from repro.serve.core import Link, ServeCore
 
 __all__ = [
     "MAX_DATAGRAM_BYTES",
@@ -78,230 +95,108 @@ def decode_datagram(data: bytes) -> dict:
     return message
 
 
-def _with_session(message: dict, tenant: str, session: str) -> dict:
-    """Stamp the per-datagram session address onto *message*."""
-    message["tenant"] = str(tenant)
-    message["session"] = str(session)
-    return message
+class _DatagramLink(Link):
+    """A session's link: datagrams to its last source address.
+
+    ``events`` messages leave in chunks of :data:`EVENTS_PER_DATAGRAM`.
+    """
+
+    __slots__ = ("server", "addr")
+
+    def __init__(self, server: "UdpAirFingerServer", addr) -> None:
+        super().__init__()
+        self.server = server
+        self.addr = addr
+
+    async def send(self, message: dict) -> None:
+        transport = self.server._transport
+        if transport is None:
+            return
+        messages = [message]
+        if message["type"] == "events":
+            events = message["events"]
+            messages = [
+                {"type": "events",
+                 "events": events[i:i + EVENTS_PER_DATAGRAM]}
+                for i in range(0, len(events), EVENTS_PER_DATAGRAM)]
+        for datagram in messages:
+            with contextlib.suppress(OSError):
+                transport.sendto(encode_datagram(datagram), self.addr)
 
 
 class _ServerProtocol(asyncio.DatagramProtocol):
-    def __init__(self, server: "UdpAirFingerServer") -> None:
-        self.server = server
-
-    def connection_made(self, transport) -> None:
-        self.server._transport = transport
+    def __init__(self, inbox: asyncio.Queue) -> None:
+        self.inbox = inbox
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.server._on_datagram(data, addr)
+        self.inbox.put_nowait((data, addr))
 
 
-class UdpAirFingerServer:
-    """Datagram front-end over a shared :class:`SessionManager`.
+class UdpAirFingerServer(ServeCore):
+    """Datagram front-end of the serve core.
 
-    Speaks the serve protocol one-message-per-datagram.  ``hello``
-    registers (or re-addresses) a session and is answered with a
-    ``hello_ack``; ``frames`` enqueue onto the session's bounded queue
-    and wake an asyncio pump that drains through the manager's batching
-    dispatch, sending events back in bounded chunks; ``bye`` drains,
-    flushes and answers the tail events plus a final ``bye``.  An idle
-    reaper evicts silent sessions exactly like the TCP server.
+    Takes the :class:`~repro.serve.core.ServeCore` parameters and serves
+    the same session contract as the TCP server, one message per
+    datagram.  One receive task hands datagrams to the core in arrival
+    order; each is routed by its ``tenant``/``session`` fields to that
+    session's link, whose reply address becomes the datagram's source.
+    A ``hello`` opens (or re-acknowledges) a session; a datagram naming
+    no live session — and a ``checkpoint``, whose fields name the
+    session to capture, not the sender — is answered at its source.  A
+    protocol error answers one datagram and leaves the session open.
 
     May share its :class:`SessionManager` with a TCP
     :class:`~repro.serve.server.AirFingerServer` — sessions are keyed by
     (tenant, session), not by transport.
     """
 
-    def __init__(self, manager: SessionManager,
-                 host: str = "127.0.0.1", port: int = 0,
-                 reuse_port: bool = False,
-                 wall_clock=time.time, mono_clock=time.monotonic) -> None:
-        self.manager = manager
-        self.host = host
-        self.port = port
-        self.reuse_port = reuse_port
-        self._wall_clock = wall_clock
-        self._mono_clock = mono_clock
-        self._started_mono = 0.0
-        self._transport: asyncio.DatagramTransport | None = None
-        #: last datagram source address per live session key
-        self._peers: dict[tuple[str, str], tuple] = {}
-        self._pumps: dict[tuple[str, str], asyncio.Task] = {}
-        self._reaper: asyncio.Task | None = None
+    _transport: asyncio.DatagramTransport | None = None
+    _receiver: asyncio.Task | None = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
+    async def _bind(self) -> None:
         loop = asyncio.get_running_loop()
+        inbox: asyncio.Queue = asyncio.Queue()
         kwargs = {"reuse_port": True} if self.reuse_port else {}
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ServerProtocol(self),
+        self._transport, _ = await loop.create_datagram_endpoint(
+            lambda: _ServerProtocol(inbox),
             local_addr=(self.host, self.port), **kwargs)
-        self._transport = transport
-        self.port = transport.get_extra_info("sockname")[1]
-        self._started_mono = self._mono_clock()
-        self._reaper = asyncio.create_task(self._reap_idle())
+        self.port = self._transport.get_extra_info("sockname")[1]
+        self._receiver = asyncio.create_task(self._receive(inbox))
 
-    async def stop(self) -> None:
-        if self._reaper is not None:
-            self._reaper.cancel()
+    async def _unbind(self) -> None:
+        if self._receiver is not None:
+            self._receiver.cancel()
             with contextlib.suppress(asyncio.CancelledError):
-                await self._reaper
-            self._reaper = None
-        for task in list(self._pumps.values()):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._pumps.clear()
+                await self._receiver
+            self._receiver = None
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        self._peers.clear()
 
-    async def __aenter__(self) -> "UdpAirFingerServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); monotonic."""
-        if not self._started_mono:
-            return 0.0
-        return self._mono_clock() - self._started_mono
-
-    # ------------------------------------------------------------------
-    # datagram handling
-    # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes, addr) -> None:
-        try:
-            message = decode_datagram(data)
-            self._handle(message, addr)
-        except protocol.ProtocolError as exc:
-            self._sendto(protocol.error_message("protocol", str(exc)),
-                         addr)
-
-    def _handle(self, message: dict, addr) -> None:
-        kind = message.get("type")
-        if kind == "hello":
-            tenant, session_id = protocol.check_hello(message)
-            session = self.manager.open(tenant, session_id)
-            self._peers[session.key] = addr
-            self._sendto(protocol.hello_ack(
-                session_id,
-                heartbeat_interval_s=(
-                    self.manager.config.heartbeat_interval_s),
-                max_batch_frames=self.manager.config.max_batch_frames),
-                addr)
-        elif kind == "frames":
-            session = self._session_of(message)
-            self._peers[session.key] = addr
-            self.manager.enqueue(session, protocol.decode_frames(message))
-            self._wake_pump(session)
-        elif kind == "heartbeat":
-            t = message.get("t")
-            if t is not None:
-                self._sendto(protocol.heartbeat(echo=t), addr)
-        elif kind == "stats":
-            snapshot = self.manager.stats()
-            snapshot["metrics"] = (
-                self.manager.metrics.snapshot().to_dict())
-            mono = self._mono_clock()
-            uptime = (mono - self._started_mono
-                      if self._started_mono else 0.0)
-            self._sendto(protocol.stats_reply(
-                snapshot, server_time_s=self._wall_clock(),
-                server_mono_s=mono, uptime_s=uptime), addr)
-        elif kind == "bye":
-            session = self._session_of(message)
-            self._peers[session.key] = addr
-            asyncio.get_running_loop().create_task(
-                self._close_session(session, addr))
-        else:
-            raise protocol.ProtocolError(
-                f"unexpected datagram type {kind!r}")
-
-    def _session_of(self, message: dict) -> ServeSession:
-        tenant = message.get("tenant")
-        session_id = message.get("session")
-        if not tenant or not session_id:
-            raise protocol.ProtocolError(
-                "datagram carries no tenant/session address")
-        session = self.manager.get(str(tenant), str(session_id))
-        if session is None:
-            raise protocol.ProtocolError(
-                f"unknown session {tenant!r}/{session_id!r} "
-                f"(hello first; it may also have been evicted)")
-        return session
-
-    # ------------------------------------------------------------------
-    # dispatch pump
-    # ------------------------------------------------------------------
-    def _wake_pump(self, session: ServeSession) -> None:
-        task = self._pumps.get(session.key)
-        if task is None or task.done():
-            self._pumps[session.key] = asyncio.get_running_loop(
-                ).create_task(self._pump(session))
-
-    async def _pump(self, session: ServeSession) -> None:
-        try:
-            while session.pending and not session.closed:
-                events = self.manager.dispatch(session)
-                self._send_events(session, events)
-                # yield between batches so fresh datagrams interleave
-                await asyncio.sleep(0)
-        finally:
-            self._pumps.pop(session.key, None)
-
-    async def _close_session(self, session: ServeSession, addr) -> None:
-        pump = self._pumps.pop(session.key, None)
-        if pump is not None and not pump.done():
-            pump.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await pump
-        tail = self.manager.close(session, reason="bye")
-        self._send_events(session, tail, addr=addr)
-        self._sendto(protocol.bye(), addr)
-        self._peers.pop(session.key, None)
-
-    async def _reap_idle(self) -> None:
-        config = self.manager.config
-        interval_s = min(config.idle_timeout_s / 4,
-                         config.heartbeat_interval_s)
+    async def _receive(self, inbox: asyncio.Queue) -> None:
         while True:
-            await asyncio.sleep(interval_s)
-            for session, tail in self.manager.evict_idle():
-                addr = self._peers.pop(session.key, None)
-                pump = self._pumps.pop(session.key, None)
-                if pump is not None and not pump.done():
-                    pump.cancel()
-                if addr is not None:
-                    self._send_events(session, tail, addr=addr)
-                    self._sendto(protocol.bye(), addr)
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-    def _send_events(self, session: ServeSession, events: list,
-                     addr=None) -> None:
-        if not events:
-            return
-        if addr is None:
-            addr = self._peers.get(session.key)
-        if addr is None:
-            return
-        for i in range(0, len(events), EVENTS_PER_DATAGRAM):
-            chunk = events[i:i + EVENTS_PER_DATAGRAM]
-            self._sendto(protocol.events_message(chunk), addr)
-
-    def _sendto(self, message: dict, addr) -> None:
-        if self._transport is None:
-            return
-        with contextlib.suppress(OSError):
-            self._transport.sendto(encode_datagram(message), addr)
+            data, addr = await inbox.get()
+            link = _DatagramLink(self, addr)
+            try:
+                message = decode_datagram(data)
+                if message["type"] != "checkpoint":
+                    link = self._links.get(
+                        (message.get("tenant"), message.get("session")),
+                        link)
+                link.addr = addr  # last source wins
+                if message["type"] == "hello":
+                    await self._open(link, message)
+                else:
+                    await self._handle_message(link, message)
+            except protocol.ProtocolError as exc:
+                await self._send_error(link, "protocol", str(exc))
+            except Exception as exc:
+                # one bad datagram must not take the receive task down
+                await self._send_error(
+                    link, "internal", f"{type(exc).__name__}: {exc}")
+                asyncio.get_running_loop().call_exception_handler(
+                    {"message": "UDP datagram handling failed",
+                     "exception": exc})
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +204,24 @@ class UdpAirFingerServer:
 # ---------------------------------------------------------------------------
 
 class _ClientProtocol(asyncio.DatagramProtocol):
-    def __init__(self, client: "UdpServeClient") -> None:
-        self.client = client
-
-    def connection_made(self, transport) -> None:
-        pass
+    def __init__(self, inbox: asyncio.Queue) -> None:
+        self.inbox = inbox
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.client._on_datagram(data)
+        with contextlib.suppress(protocol.ProtocolError):
+            # a corrupt datagram: UDP promises nothing; drop it
+            self.inbox.put_nowait(decode_datagram(data))
 
 
-class UdpServeClient:
+class UdpServeClient(ServeClient):
     """One device session over the datagram transport.
 
-    Mirrors :class:`~repro.serve.client.ServeClient` for the data plane:
-    connect (hello/hello_ack with bounded resends — the hello itself may
-    be lost), ``send_frames``, ``pump`` to absorb event datagrams, and a
-    ``bye`` handshake returning every received event.
+    Every :class:`~repro.serve.client.ServeClient` request (``ping``,
+    ``stats``, ``watch``, ``checkpoint``, ``restore``, ...) works
+    unchanged; this class adds the datagram plumbing: a ``hello`` resent
+    on timeout (the handshake datagrams themselves may be lost), the
+    session address stamped on every datagram, and a ``bye`` resent
+    likewise.
 
     ``send_filter`` injects deterministic datagram loss for tests: it is
     called with each outgoing *frames* datagram's ordinal and the frame
@@ -336,19 +232,12 @@ class UdpServeClient:
     def __init__(self, transport: asyncio.DatagramTransport,
                  hello_ack: dict, send_filter=None,
                  clock=time.perf_counter) -> None:
+        super().__init__(None, None, hello_ack, clock=clock)
         self._transport = transport
-        self.hello_ack = hello_ack
         self.tenant = ""
         self.session = ""
         self._send_filter = send_filter
-        self._clock = clock
         self._incoming: asyncio.Queue[dict] = asyncio.Queue()
-        #: every decoded pipeline event received so far, in wire order
-        self.events: list = []
-        self.heartbeats = 0
-        self.rtts_s: list[float] = []
-        self._stats: dict | None = None
-        self._bye_seen = False
         self._frames_datagrams = 0
         self.dropped_datagrams = 0
 
@@ -363,17 +252,16 @@ class UdpServeClient:
         themselves may be lost); each attempt waits ``timeout_s /
         retries``.
         """
-        loop = asyncio.get_running_loop()
-        transport, proto = await loop.create_datagram_endpoint(
-            lambda: _ClientProtocol(None), remote_addr=(host, port))
-        client = cls(transport, {}, send_filter=send_filter)
-        proto.client = client  # wire up before any datagram can arrive
+        client = cls(None, {}, send_filter=send_filter)
         client.tenant = str(tenant)
         client.session = str(session)
+        client._transport, _ = await asyncio.get_running_loop(
+            ).create_datagram_endpoint(
+                lambda: _ClientProtocol(client._incoming),
+                remote_addr=(host, port))
         per_try = max(timeout_s / max(retries, 1), 0.05)
         for _attempt in range(max(retries, 1)):
-            transport.sendto(encode_datagram(
-                protocol.hello(tenant, session)))
+            await client._send(protocol.hello(tenant, session))
             try:
                 message = await asyncio.wait_for(client._incoming.get(),
                                                  timeout=per_try)
@@ -386,49 +274,27 @@ class UdpServeClient:
                 client.hello_ack = message
                 return client
             client._absorb(message)
-        transport.close()
+        await client.close()
         raise TimeoutError("hello_ack timed out over UDP")
 
     # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes) -> None:
-        try:
-            self._incoming.put_nowait(decode_datagram(data))
-        except protocol.ProtocolError:
-            pass  # corrupt datagram: UDP promises nothing; drop it
-
-    def _absorb(self, message: dict) -> None:
-        kind = message.get("type")
-        if kind == "events":
-            self.events.extend(protocol.decode_events(message))
-        elif kind == "heartbeat":
-            self.heartbeats += 1
-            echo = message.get("echo")
-            if echo is not None:
-                self.rtts_s.append(
-                    max(self._clock() - float(echo), 0.0))
-        elif kind == "stats_reply":
-            self._stats = message.get("metrics")
-        elif kind == "bye":
-            self._bye_seen = True
-        elif kind == "error":
-            raise protocol.ProtocolError(
-                f"server error: {message.get('detail')}")
-
-    async def _drain(self, timeout_s: float) -> None:
+    async def _read_some(self, timeout_s: float) -> bool:
+        """Absorb every datagram received, waiting up to *timeout_s* for
+        the first; a datagram socket never reports a close."""
         try:
             message = await asyncio.wait_for(self._incoming.get(),
                                              timeout=timeout_s)
         except asyncio.TimeoutError:
-            return
+            return True
         self._absorb(message)
-        while True:
-            try:
-                self._absorb(self._incoming.get_nowait())
-            except asyncio.QueueEmpty:
-                return
+        while not self._incoming.empty():
+            self._absorb(self._incoming.get_nowait())
+        return True
 
-    # ------------------------------------------------------------------
-    def _sendto(self, message: dict) -> None:
+    async def _send(self, message: dict) -> None:
+        # a checkpoint already names the session it captures
+        message.setdefault("tenant", self.tenant)
+        message.setdefault("session", self.session)
         self._transport.sendto(encode_datagram(message))
 
     async def send_frames(self, frames) -> None:
@@ -440,36 +306,7 @@ class UdpServeClient:
                 ordinal, frames):
             self.dropped_datagrams += 1
             return
-        self._sendto(_with_session(
-            protocol.frames_message(frames), self.tenant, self.session))
-
-    async def pump(self, timeout_s: float = 0.001) -> None:
-        """Opportunistically absorb any datagrams already received."""
-        await self._drain(timeout_s)
-
-    async def ping(self, timeout_s: float = 10.0) -> float:
-        """One heartbeat round trip; returns the RTT in seconds."""
-        seen = len(self.rtts_s)
-        self._sendto(protocol.heartbeat(t=self._clock()))
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while len(self.rtts_s) == seen:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("heartbeat echo timed out")
-            await self._drain(remaining)
-        return self.rtts_s[-1]
-
-    async def stats(self, timeout_s: float = 10.0) -> dict:
-        """Fetch the server's stats snapshot (includes metrics)."""
-        self._stats = None
-        self._sendto(protocol.stats_request())
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self._stats is None:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("stats reply timed out")
-            await self._drain(remaining)
-        return self._stats
+        await super().send_frames(frames)
 
     async def bye(self, timeout_s: float = 30.0, retries: int = 5) -> list:
         """Graceful close; returns every event received in this session.
@@ -480,20 +317,20 @@ class UdpServeClient:
         """
         per_try = max(timeout_s / max(retries, 1), 0.05)
         for _attempt in range(max(retries, 1)):
-            self._sendto(_with_session(
-                protocol.bye(), self.tenant, self.session))
-            deadline = asyncio.get_running_loop().time() + per_try
-            while not self._bye_seen:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    break
-                try:
-                    await self._drain(remaining)
-                except protocol.ProtocolError:
-                    # "unknown session": a bye resend after the server
-                    # already closed — the handshake is complete
-                    self._bye_seen = True
-            if self._bye_seen:
-                break
-        self._transport.close()
+            try:
+                await self._request(protocol.bye(),
+                                    lambda: self._bye_seen,
+                                    "bye handshake", per_try)
+            except TimeoutError:
+                continue
+            except protocol.ProtocolError:
+                # "unknown session": a bye resend after the server
+                # already closed — the handshake is complete
+                pass
+            break
+        await self.close()
         return self.events
+
+    async def close(self) -> None:
+        """Close the datagram socket without a ``bye``."""
+        self._transport.close()
