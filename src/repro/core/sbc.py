@@ -11,6 +11,12 @@ attenuates slow dynamic noise, while squaring relatively enhances the large
 gesture-driven excursions ``S_ges`` over the small residual noise — and
 makes the output sign-free, which is what the Otsu-style threshold expects.
 The whole transform is O(n) via prefix sums.
+
+The streaming classes keep each running sum as serial float state.  Their
+``push_block`` methods replay a block of ``push`` calls in one vectorized
+pass that reproduces the scalar carry bit-for-bit for any input, so the
+per-frame and per-block paths agree exactly.  :class:`StreamingMovingAverage`
+is both the causal prefilter and the segmenter's energy envelope.
 """
 
 from __future__ import annotations
@@ -20,27 +26,6 @@ from collections import deque
 import numpy as np
 
 __all__ = ["sbc_transform", "StreamingSbc", "StreamingMovingAverage", "prefilter"]
-
-# Exactness grid for the block-mode fast path: values that are integer
-# multiples of 2^-20 with magnitude <= 2^12 have all their running sums
-# (up to 2^20 terms) exactly representable in float64, so *any* summation
-# order — including cumsum — reproduces the streaming carry bit-for-bit.
-_GRID_SCALE = float(1 << 20)
-_GRID_MAX_ABS = float(1 << 12)
-_GRID_MAX_TERMS = 1 << 20
-
-
-def _on_exact_grid(x: np.ndarray) -> bool:
-    """True when every value of *x* sits on the exactly-summable grid."""
-    if x.size == 0:
-        return True
-    if x.size > _GRID_MAX_TERMS or not np.all(np.isfinite(x)):
-        return False
-    if np.max(np.abs(x)) > _GRID_MAX_ABS:
-        return False
-    scaled = x * _GRID_SCALE
-    return bool(np.all(scaled == np.rint(scaled)))
-
 
 def prefilter(signal: np.ndarray, window: int) -> np.ndarray:
     """Causal moving-average smoothing applied to raw RSS before SBC.
@@ -67,7 +52,11 @@ def prefilter(signal: np.ndarray, window: int) -> np.ndarray:
 
 
 class StreamingMovingAverage:
-    """O(1)-per-sample causal moving average (the streaming prefilter)."""
+    """O(1)-per-sample causal moving average.
+
+    The streaming prefilter ahead of SBC, and the energy envelope of
+    :class:`~repro.core.segmentation.DynamicThresholdSegmenter`.
+    """
 
     def __init__(self, window: int) -> None:
         if window < 1:
@@ -88,44 +77,37 @@ class StreamingMovingAverage:
     def push_block(self, values: np.ndarray) -> np.ndarray:
         """Ingest N samples at once; bit-identical to N :meth:`push` calls.
 
-        When every involved sample (buffered and incoming) lies on the
-        exactly-summable grid (integer-ish ADC codes, half-count medians),
-        the window sums are computed via a prefix sum — every partial sum
-        is exactly representable, so the result matches the streaming
-        carry recurrence bit-for-bit.  Otherwise a tight scalar loop
-        replays the exact per-push operation order.
+        The running sum is serial float state: its rounding residue must
+        match the scalar carry bit-for-bit, whatever the input values.  A
+        left fold is exactly what ``np.add.accumulate`` computes, so the
+        scalar loop's operations — add while the window fills, then
+        subtract the evicted sample and add the new one — are laid out as
+        one interleaved sequence and accumulated in a single pass.
         """
         x = np.asarray(values, dtype=np.float64).ravel()
         n = x.size
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         w = self.window
         buf = self._buffer
-        carried = np.fromiter(buf, dtype=np.float64, count=len(buf))
-        # The carry may hold residue from earlier off-grid samples (e.g.
-        # gap interpolation) even after those samples left the buffer.
-        exact = (_on_exact_grid(carried) and _on_exact_grid(x)
-                 and self._sum == float(np.sum(carried)))
-        if exact:
-            seq = np.concatenate([carried, x])
-            prefix = np.concatenate([[0.0], np.cumsum(seq)])
-            hi = np.arange(len(carried) + 1, len(seq) + 1)
-            lo = np.maximum(hi - w, 0)
-            out = (prefix[hi] - prefix[lo]) / (hi - lo)
-            buf.extend(x.tolist())
-            self._sum = float(np.sum(np.fromiter(buf, dtype=np.float64,
-                                                 count=len(buf))))
-            return out
+        held = len(buf)
+        n_grow = min(w - held, n)  # samples before the first eviction
+        n_roll = n - n_grow
+        steps = np.empty(1 + n_grow + 2 * n_roll)
+        steps[0] = self._sum
+        steps[1:1 + n_grow] = x[:n_grow]
+        if n_roll:
+            # the window is full from here on: each sample evicts the
+            # oldest of (buffered ++ incoming), in order
+            seq = np.concatenate(
+                [np.fromiter(buf, dtype=np.float64, count=held), x])
+            np.negative(seq[:n_roll], out=steps[1 + n_grow::2])
+            steps[2 + n_grow::2] = x[n_grow:]
+        acc = np.add.accumulate(steps)
         out = np.empty(n, dtype=np.float64)
-        s = self._sum
-        append = buf.append
-        for i, value in enumerate(x.tolist()):
-            if len(buf) == w:
-                s -= buf[0]
-            append(value)
-            s += value
-            out[i] = s / len(buf)
-        self._sum = s
+        out[:n_grow] = acc[1:1 + n_grow] / np.arange(held + 1,
+                                                   held + n_grow + 1)
+        out[n_grow:] = acc[2 + n_grow::2] / w
+        self._sum = float(acc[-1])
+        buf.extend(x[max(0, n - w):].tolist())
         return out
 
     def reset(self) -> None:
@@ -191,10 +173,6 @@ class StreamingSbc:
         cur_sum = sum(list(buf)[self.window:])
         delta = (cur_sum - prev_sum) / self.window
         return delta * delta
-
-    def push_many(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a batch, returning one ΔRSS² per input sample."""
-        return self.push_block(values)
 
     def push_block(self, values: np.ndarray) -> np.ndarray:
         """Ingest N samples at once; bit-identical to N :meth:`push` calls.

@@ -10,16 +10,25 @@ segmentation analogy of computer vision).
 Start/end detection follows the paper exactly: a sample exceeding ``I_seg``
 opens a segment, a sample at or below it closes one, and segments separated
 by less than ``t_e`` are clustered into a single gesture.
+
+:class:`DynamicThresholdSegmenter` keeps one copy of each piece of
+streaming arithmetic: its energy envelope is a
+:class:`~repro.core.sbc.StreamingMovingAverage`, and the start/end/cluster
+rules live in one per-sample step that the per-frame ``push`` and the
+batched ``push_block`` both drive.  ``push_block`` adds only what a batch
+allows — skipping quiet spans and refreshing the threshold for several
+history windows in one vectorized pass — with the same results bit for
+bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import AirFingerConfig
+from repro.core.sbc import StreamingMovingAverage
 from repro.utils import fast_quantile
 
 __all__ = ["otsu_threshold", "Segment", "BlockSegmentation",
@@ -300,8 +309,7 @@ class DynamicThresholdSegmenter:
         self._open_start: int | None = None
         self._pending: Segment | None = None
         self._gap = 0
-        self._env_buffer: deque[float] = deque(maxlen=self.config.envelope_samples)
-        self._env_sum = 0.0
+        self._envelope = StreamingMovingAverage(self.config.envelope_samples)
         # causal envelope delays the apparent onset by ~half the window
         self._backdate = self.config.envelope_samples // 2
 
@@ -413,12 +421,7 @@ class DynamicThresholdSegmenter:
         ``t_e`` samples (otherwise a following burst would have been
         clustered into it) and it passes the minimum-length filter.
         """
-        raw = float(value)
-        if len(self._env_buffer) == self._env_buffer.maxlen:
-            self._env_sum -= self._env_buffer[0]
-        self._env_buffer.append(raw)
-        self._env_sum += raw
-        value = self._env_sum / len(self._env_buffer)
+        value = self._envelope.push(value)
         self._hist_buf[self._hist_pos] = value
         self._hist_pos += 1
         if self._hist_pos == self._hist_buf.shape[0]:
@@ -429,12 +432,18 @@ class DynamicThresholdSegmenter:
         if self._since_refresh >= self.config.otsu_refresh_samples:
             self._refresh_threshold()
             self._since_refresh = 0
+        return self._step(value > self._threshold)
 
+    def _step(self, above: bool) -> Segment | None:
+        """Advance the open/pending/gap state machine by one sample.
+
+        *above* says whether the sample's envelope exceeds ``I_seg``.
+        This is the only copy of the start/end/clustering rules: both
+        :meth:`push` and :meth:`push_block` drive it.
+        """
         i = self._index
         self._index += 1
         emitted: Segment | None = None
-
-        above = value > self._threshold
         if above:
             if self._open_start is None:
                 if self._pending is not None and self._gap < self.config.cluster_gap_samples:
@@ -444,246 +453,121 @@ class DynamicThresholdSegmenter:
                 else:
                     emitted = self._take_pending()
                     self._open_start = i
-            if (self._open_start is not None
-                    and i - self._open_start + 1 >= self.config.max_segment_samples):
+            if i - self._open_start + 1 >= self.config.max_segment_samples:
                 self._pending = Segment(self._open_start, i + 1)
                 self._open_start = None
                 self._gap = 0
-        else:
-            if self._open_start is not None:
-                self._pending = Segment(self._open_start, i)
-                self._open_start = None
-                self._gap = 0
-            elif self._pending is not None:
-                self._gap += 1
-                if self._gap >= self.config.cluster_gap_samples:
-                    emitted = self._take_pending()
+        elif self._open_start is not None:
+            self._pending = Segment(self._open_start, i)
+            self._open_start = None
+            self._gap = 0
+        elif self._pending is not None:
+            self._gap += 1
+            if self._gap >= self.config.cluster_gap_samples:
+                emitted = self._take_pending()
         return emitted
 
     def push_block(self, values: np.ndarray) -> BlockSegmentation:
         """Ingest N ΔRSS² samples; bit-identical to N :meth:`push` calls.
 
-        The envelope carry, history ring, threshold refreshes and the
-        open/pending/gap state machine are replayed in a tight loop with
-        hoisted locals — the exact scalar operation order, minus the
-        per-call attribute traffic.  Besides the finished segments (with
+        Three passes: the envelope is one
+        :meth:`StreamingMovingAverage.push_block` carry replay; the
+        history ring and threshold refreshes run in :meth:`_record_block`;
+        and :meth:`_step` — the same state machine :meth:`push` drives —
+        runs per sample, except across quiet spans (nothing open, nothing
+        pending, no sample above threshold), where each step would only
+        advance the sample index.  Besides the finished segments (with
         their block offsets), the returned :class:`BlockSegmentation`
         exposes the post-push ``open_start``/``threshold`` trajectory the
         pipeline needs to interleave live updates without re-reading
         (already advanced) segmenter state.
         """
-        x = np.asarray(values, dtype=np.float64).ravel()
-        n = x.size
+        env = self._envelope.push_block(values)
+        n = env.size
+        thresholds = self._record_block(env)
+        mask = env > thresholds
+        above = mask.tolist()
+        active = np.flatnonzero(mask).tolist()
         finished: list = []
-        open_after: list = []
-        if n == 0:
-            return BlockSegmentation(finished, open_after,
-                                     np.empty(0, dtype=np.float64), [])
+        open_after: list = [None] * n
+        open_offsets: list[int] = []
+        ap = 0
+        off = 0
+        while off < n:
+            if self._open_start is None and self._pending is None:
+                while ap < len(active) and active[ap] < off:
+                    ap += 1
+                nxt = active[ap] if ap < len(active) else n
+                self._index += nxt - off
+                off = nxt
+                if off == n:
+                    break
+            done = self._step(above[off])
+            if done is not None:
+                finished.append((off, done))
+            if self._open_start is not None:
+                open_after[off] = self._open_start
+                open_offsets.append(off)
+            off += 1
+        return BlockSegmentation(finished, open_after, thresholds,
+                                 open_offsets)
 
-        config = self.config
-        env_buf = self._env_buffer
-        env_maxlen = env_buf.maxlen
-        env_sum = self._env_sum
+    def _record_block(self, env: np.ndarray) -> np.ndarray:
+        """Push *env* into the history ring, refreshing on cadence.
+
+        Returns the threshold in force at each sample, as :meth:`push`
+        would compare it.  Refresh offsets are a fixed cadence and every
+        refresh window is a tail of (ring content ++ *env*), so when a
+        block holds at least two full windows they go through
+        :meth:`_refresh_batch` in one shot; a single window (every
+        10-frame serving block), partial windows (cold start) and rows
+        the batch declines go through :meth:`_refresh_from`.
+        """
+        n = env.size
         hist = self._hist_buf
-        hist_size = hist.shape[0]
-        hist_pos = self._hist_pos
-        hist_len = self._hist_len
-        since = self._since_refresh
-        refresh_every = config.otsu_refresh_samples
-        threshold = self._threshold
-        index = self._index
-        open_start = self._open_start
-        pending = self._pending
-        gap = self._gap
-        max_len = config.max_segment_samples
-        cluster_gap = config.cluster_gap_samples
-        min_len = config.min_segment_samples
-        backdate = self._backdate
-
-        def take_pending(segment: Segment) -> Segment | None:
-            if segment.length < min_len:
-                return None
-            start = max(0, segment.start - backdate)
-            end = max(start + 1, segment.end - backdate)
-            return Segment(start, end)
-
-        # Pass 1 — envelope. The running-sum carry is truly serial float
-        # state (its residue must match the scalar push bits), but a
-        # left-fold is exactly what ``np.add.accumulate`` computes: lay the
-        # scalar loop's subtract-evicted / add-raw operations out as one
-        # interleaved sequence and accumulate it, and every partial sum —
-        # and therefore every envelope value — carries the scalar bits.
-        carry = list(env_buf)
-        carry_len = len(carry)
-        evict_from = env_maxlen - carry_len
-        n_grow = min(max(evict_from, 0), n)  # samples before first eviction
-        acc_grow = np.add.accumulate(np.concatenate([[env_sum], x[:n_grow]]))
-        sizes = np.arange(carry_len + 1, carry_len + n_grow + 1)
-        env_grow = acc_grow[1:] / np.minimum(sizes, env_maxlen)
-        env_sum = acc_grow[-1]
-        n_roll = n - n_grow
-        if n_roll:
-            combined = np.concatenate([np.asarray(carry, dtype=np.float64), x])
-            evicted = combined[carry_len + n_grow - env_maxlen:
-                               carry_len + n - env_maxlen]
-            steps = np.empty(2 * n_roll + 1)
-            steps[0] = env_sum
-            steps[1::2] = -evicted  # scalar order: evict, then add
-            steps[2::2] = x[n_grow:]
-            acc_roll = np.add.accumulate(steps)
-            env_arr = np.concatenate([env_grow, acc_roll[2::2] / env_maxlen])
-            env_sum = acc_roll[-1]
-        else:
-            env_arr = env_grow
-        env_sum = float(env_sum)
-        # the deque discards all but the trailing maxlen raws anyway
-        env_buf.extend(x[max(0, n - env_maxlen):].tolist())
-
-        # Pass 2 — threshold refreshes, batched. Refresh offsets are a
-        # fixed cadence; every refresh window is a tail of (prior ring
-        # content ++ envelope values), so all full windows of the block can
-        # be gathered into one matrix and pushed through the vectorized
-        # refresh in a single shot. Partial windows (cold start) and rows
-        # the batch declines go through the scalar path unchanged.
-        first_refresh = refresh_every - 1 - since
-        refreshed_thresholds: dict[int, float | None] = {}
-        offsets: list[int] = []
-        if first_refresh < n:
-            if hist_len < hist_size:
-                prior = hist[:hist_len]
-            elif hist_pos == 0:
-                prior = hist
+        size = hist.shape[0]
+        every = self.config.otsu_refresh_samples
+        offsets = list(range(max(0, every - 1 - self._since_refresh), n,
+                             every))
+        levels = [self._threshold]
+        if offsets:
+            if self._hist_len < size:
+                prior = hist[:self._hist_len]
             else:
-                prior = np.concatenate([hist[hist_pos:], hist[:hist_pos]])
-            full_hist = np.concatenate([prior, env_arr])
-            offsets = list(range(max(0, first_refresh), n, refresh_every))
-            ends = [hist_len + off + 1 for off in offsets]
-            full_rows = [(off, end) for off, end in zip(offsets, ends)
-                         if end >= hist_size]
-            batched: np.ndarray | None = None
-            if full_rows:
-                starts = np.asarray([end - hist_size
-                                     for _, end in full_rows])
+                prior = np.concatenate([hist[self._hist_pos:],
+                                        hist[:self._hist_pos]])
+            full_hist = np.concatenate([prior, env])
+            ends = [self._hist_len + off + 1 for off in offsets]
+            n_full = sum(end >= size for end in ends)  # a suffix of ends
+            batched = None
+            if n_full >= 2:
+                starts = np.asarray(ends[-n_full:]) - size
                 windows = np.lib.stride_tricks.sliding_window_view(
-                    full_hist, hist_size)[starts]
+                    full_hist, size)[starts]
                 # one log per history sample instead of one per window
                 # element: refresh windows overlap almost entirely, and
                 # the log is elementwise, so the bits are unchanged
                 log_hist = np.log(np.where(full_hist > 0.0, full_hist, 1.0))
                 log_windows = np.lib.stride_tricks.sliding_window_view(
-                    log_hist, hist_size)[starts]
+                    log_hist, size)[starts]
                 batched = self._refresh_batch(windows, logs=log_windows)
-            if batched is not None:
-                for (off, _), thr in zip(full_rows, batched):
-                    refreshed_thresholds[off] = float(thr)
-            for off, end in zip(offsets, ends):
-                if off not in refreshed_thresholds:
-                    window = full_hist[max(0, end - hist_size):end]
-                    refreshed_thresholds[off] = self._refresh_from(window)
-
-        # ring/state bookkeeping the scalar loop would have done per push
-        if offsets:
-            since = n - 1 - offsets[-1]
+            first_batched = len(ends) - n_full
+            for k, end in enumerate(ends):
+                if batched is not None and k >= first_batched:
+                    new = float(batched[k - first_batched])
+                else:
+                    new = self._refresh_from(full_hist[max(0, end - size):end])
+                if new is not None:
+                    self._threshold = new
+                levels.append(self._threshold)
+            self._since_refresh = n - 1 - offsets[-1]
         else:
-            since += n
-        tail = min(n, hist_size)
-        ring_idx = (hist_pos + np.arange(n - tail, n)) % hist_size
-        hist[ring_idx] = env_arr[n - tail:]
-        hist_pos = (hist_pos + n) % hist_size
-        hist_len = min(hist_len + n, hist_size)
-
-        # Pass 3 — the open/pending/gap state machine. The threshold
-        # trajectory is state-independent (refreshes depend only on the
-        # envelope history), so it is laid out per-sample up front, the
-        # above-threshold mask is computed in one vectorized compare, and
-        # the scalar-order state machine then fast-forwards across
-        # quiescent spans (nothing open, nothing pending, no crossings) —
-        # the overwhelmingly common case on idle-dominated streams — where
-        # each scalar step is provably a no-op beyond ``index += 1``.
-        if refreshed_thresholds:
-            thr_vals: list[float] = []
-            span_lens: list[int] = []
-            prev = 0
-            cur_thr = threshold
-            for off in offsets:
-                span_lens.append(off - prev)
-                thr_vals.append(cur_thr)
-                new_thr = refreshed_thresholds[off]
-                if new_thr is not None:
-                    cur_thr = new_thr
-                prev = off
-            span_lens.append(n - prev)
-            thr_vals.append(cur_thr)
-            thr_per_sample = np.repeat(thr_vals, span_lens)
-        else:
-            thr_per_sample = np.full(n, threshold)
-        mask = env_arr > thr_per_sample
-        mask_list = mask.tolist()
-        active_list = np.flatnonzero(mask).tolist()
-        n_active = len(active_list)
-        open_after = [None] * n
-        open_offsets: list[int] = []
-
-        ap = 0
-        off = 0
-        while off < n:
-            if open_start is None and pending is None:
-                while ap < n_active and active_list[ap] < off:
-                    ap += 1
-                if ap == n_active:
-                    index += n - off
-                    break
-                nxt = active_list[ap]
-                index += nxt - off
-                off = nxt
-            if mask_list[off]:
-                if open_start is None:
-                    if pending is not None and gap < cluster_gap:
-                        open_start = pending.start
-                        pending = None
-                    else:
-                        if pending is not None:
-                            emitted = take_pending(pending)
-                            pending = None
-                            gap = 0
-                            if emitted is not None:
-                                finished.append((off, emitted))
-                        open_start = index
-                if index - open_start + 1 >= max_len:
-                    pending = Segment(open_start, index + 1)
-                    open_start = None
-                    gap = 0
-            else:
-                if open_start is not None:
-                    pending = Segment(open_start, index)
-                    open_start = None
-                    gap = 0
-                elif pending is not None:
-                    gap += 1
-                    if gap >= cluster_gap:
-                        emitted = take_pending(pending)
-                        pending = None
-                        gap = 0
-                        if emitted is not None:
-                            finished.append((off, emitted))
-            index += 1
-            if open_start is not None:
-                open_after[off] = open_start
-                open_offsets.append(off)
-            off += 1
-        threshold = float(thr_per_sample[-1])
-
-        self._env_sum = env_sum
-        self._hist_pos = hist_pos
-        self._hist_len = hist_len
-        self._since_refresh = since
-        self._threshold = threshold
-        self._index = index
-        self._open_start = open_start
-        self._pending = pending
-        self._gap = gap
-        return BlockSegmentation(finished, open_after, thr_per_sample,
-                                 open_offsets)
+            self._since_refresh += n
+        tail = min(n, size)
+        hist[(self._hist_pos + np.arange(n - tail, n)) % size] = env[n - tail:]
+        self._hist_pos = (self._hist_pos + n) % size
+        self._hist_len = min(self._hist_len + n, size)
+        return np.repeat(levels, np.diff([0, *offsets, n]))
 
     def _take_pending(self) -> Segment | None:
         if self._pending is None:
@@ -722,8 +606,7 @@ class DynamicThresholdSegmenter:
         tail = self.flush()
         self._index += n_missing
         self._gap = 0
-        self._env_buffer.clear()
-        self._env_sum = 0.0
+        self._envelope.reset()
         return tail
 
     def reset(self) -> None:
@@ -736,18 +619,13 @@ class DynamicThresholdSegmenter:
         self._open_start = None
         self._pending = None
         self._gap = 0
-        self._env_buffer.clear()
-        self._env_sum = 0.0
+        self._envelope.reset()
 
     # ------------------------------------------------------------------
     def segment(self, delta_sq: np.ndarray) -> list[Segment]:
         """Offline segmentation of a full ΔRSS² array."""
         self.reset()
-        segments: list[Segment] = []
-        for value in np.asarray(delta_sq, dtype=np.float64).ravel():
-            done = self.push(value)
-            if done is not None:
-                segments.append(done)
+        segments = [seg for _, seg in self.push_block(delta_sq).finished]
         tail = self.flush()
         if tail is not None:
             segments.append(tail)

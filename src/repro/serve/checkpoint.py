@@ -36,6 +36,7 @@ import numpy as np
 from repro.acquisition.stream import RssFrame
 from repro.core.calibration import ChannelGuard
 from repro.core.pipeline import AirFinger
+from repro.core.sbc import StreamingMovingAverage
 from repro.core.segmentation import Segment
 from repro.serve.session import ServeSession, SessionManager
 
@@ -90,8 +91,8 @@ def engine_state(engine: AirFinger) -> dict:
             "pending": ([seg._pending.start, seg._pending.end]
                         if seg._pending is not None else None),
             "gap": seg._gap,
-            "env": [float(v) for v in seg._env_buffer],
-            "env_sum": float(seg._env_sum),
+            "env": [float(v) for v in seg._envelope._buffer],
+            "env_sum": float(seg._envelope._sum),
         },
         "sbc": {
             "buffer": [float(v) for v in engine._combined_sbc._buffer],
@@ -129,6 +130,19 @@ def engine_state(engine: AirFinger) -> dict:
     return state
 
 
+def _load_average(average: StreamingMovingAverage, buffer: list,
+                  total: float) -> StreamingMovingAverage:
+    """Overwrite a moving average's window and its running-sum carry.
+
+    The carry is restored as saved, not re-summed: it holds rounding
+    residue from samples that have already left the window.
+    """
+    average._buffer.clear()
+    average._buffer.extend(float(v) for v in buffer)
+    average._sum = float(total)
+    return average
+
+
 def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
     """Restore :func:`engine_state` output onto a freshly-built engine.
 
@@ -150,23 +164,17 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
     seg._pending = (Segment(int(s["pending"][0]), int(s["pending"][1]))
                     if s["pending"] is not None else None)
     seg._gap = int(s["gap"])
-    seg._env_buffer.clear()
-    seg._env_buffer.extend(float(v) for v in s["env"])
-    seg._env_sum = float(s["env_sum"])
+    _load_average(seg._envelope, s["env"], s["env_sum"])
 
     sbc = engine._combined_sbc
     sbc._buffer.clear()
     sbc._buffer.extend(float(v) for v in state["sbc"]["buffer"])
     sbc._count = int(state["sbc"]["count"])
 
-    from repro.core.sbc import StreamingMovingAverage
-    prefilters = []
-    for entry in state["prefilters"]:
-        f = StreamingMovingAverage(engine.config.prefilter_samples)
-        f._buffer.extend(float(v) for v in entry["buffer"])
-        f._sum = float(entry["sum"])
-        prefilters.append(f)
-    engine._prefilters = prefilters
+    engine._prefilters = [
+        _load_average(StreamingMovingAverage(engine.config.prefilter_samples),
+                      entry["buffer"], entry["sum"])
+        for entry in state["prefilters"]]
 
     engine._raw.clear()
     engine._raw.extend(tuple(float(v) for v in row)

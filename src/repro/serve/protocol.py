@@ -57,6 +57,7 @@ replay.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Iterable, Iterator
 
@@ -167,7 +168,7 @@ class MessageDecoder:
             del self._buffer[:end]
             try:
                 message = json.loads(body)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ProtocolError(f"undecodable message body: {exc}")
             if not isinstance(message, dict) or "type" not in message:
                 raise ProtocolError(
@@ -251,20 +252,40 @@ def frames_message(frames: Iterable[RssFrame] | FrameBlock) -> dict:
     return {"type": "frames", "frames": payload}
 
 
+_INDEX_MIN, _INDEX_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def _decode_frame(index, time_s, values) -> RssFrame:
     if not isinstance(values, list) or not values:
         raise ProtocolError(
             f"frame values must be a non-empty list, got {values!r}")
-    return RssFrame(index=int(index), time_s=float(time_s),
-                    values=tuple(float(v) for v in values))
+    # ``json.loads`` accepts NaN, Infinity and 1e400: a non-finite value
+    # would poison the prefilter carry for the rest of the session, and an
+    # index past int64 overflows the block path's index array
+    if isinstance(index, float) and not index.is_integer():
+        raise ProtocolError(f"frame index must be an integer, got {index!r}")
+    frame = RssFrame(index=int(index), time_s=float(time_s),
+                     values=tuple(float(v) for v in values))
+    if not _INDEX_MIN <= frame.index <= _INDEX_MAX:
+        raise ProtocolError(f"frame index {frame.index} is out of range")
+    if not (math.isfinite(frame.time_s)
+            and all(map(math.isfinite, frame.values))):
+        raise ProtocolError(
+            f"frame {frame.index} carries a non-finite number")
+    return frame
 
 
 def decode_frames(message: dict) -> list[RssFrame]:
-    """Rebuild the :class:`RssFrame` batch of a ``frames`` message."""
+    """Rebuild the :class:`RssFrame` batch of a ``frames`` message.
+
+    Raises :class:`ProtocolError` for any malformed row, including an
+    index that is not an integer within int64 and a non-finite time or
+    value.
+    """
     try:
         return [_decode_frame(index, time_s, values)
                 for index, time_s, values in message["frames"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed frames payload: {exc}")
 
 

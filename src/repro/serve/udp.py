@@ -87,7 +87,7 @@ def decode_datagram(data: bytes) -> dict:
     """The inverse of :func:`encode_datagram`."""
     try:
         message = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise protocol.ProtocolError(f"undecodable datagram: {exc}")
     if not isinstance(message, dict) or "type" not in message:
         raise protocol.ProtocolError(

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.acquisition.stream import RssFrame
 from repro.core.pipeline import AirFinger
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve import (
@@ -33,6 +34,7 @@ from repro.serve import (
     protocol,
 )
 from repro.serve.checkpoint import (
+    CHECKPOINT_SCHEMA,
     checkpoint_session,
     config_digest,
     engine_state,
@@ -41,6 +43,7 @@ from repro.serve.checkpoint import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from golden.checkpoint_fixture import CHECKPOINT_FIXTURE_PATH  # noqa: E402
 from golden.stream_cases import build_stream_cases  # noqa: E402
 
 
@@ -170,6 +173,37 @@ class TestEngineStateExactness:
                           tracer=Tracer(sample=0.0))
         load_engine_state(clone, rehydrated)
         assert engine_state(clone) == state
+
+
+class TestCommittedCheckpoint:
+    """A checkpoint written by an earlier engine restores on this one."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        import json
+        with CHECKPOINT_FIXTURE_PATH.open() as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("block_size", [None, 10, 256])
+    def test_restored_engine_emits_the_committed_events(self, fixture,
+                                                        block_size):
+        assert fixture["schema"] == CHECKPOINT_SCHEMA
+        assert fixture["engine"]["segmenter"]["open_start"] is not None
+        engine = AirFinger(metrics=MetricsRegistry(),
+                           tracer=Tracer(sample=0.0))
+        assert config_digest(engine) == fixture["config_digest"]
+        load_engine_state(engine, fixture["engine"])
+        # same keys, same values: nothing re-derived on the way in
+        assert engine_state(engine) == fixture["engine"]
+        frames = [RssFrame(index=int(i), time_s=float(t),
+                           values=tuple(float(v) for v in values))
+                  for i, t, values in fixture["frames"]]
+        if block_size is None:
+            events = [e for frame in frames for e in engine.feed(frame)]
+            events += engine.flush()
+        else:
+            events = engine.feed_frames(frames, block_size=block_size)
+        assert [repr(e) for e in events] == fixture["events"]
 
 
 class TestGuards:

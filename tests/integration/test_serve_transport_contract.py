@@ -7,9 +7,10 @@ device sees: the ``hello_ack`` fields, the heartbeat echo and the
 heartbeat on output silence, the ``stats_reply`` keys and clock stamps,
 ``watch`` telemetry pushes, checkpoint on one server + restore on
 another reproducing the unmigrated events, and the ``bye`` flush tail.
-Malformed input — frames that change the session's channel count, a
-non-numeric ``watch`` interval — is answered with a ``protocol`` error
-and never takes the server down for the other sessions.  Two
+Malformed input — frames that change the session's channel count or
+carry a non-integral index or a non-finite number, a non-numeric
+``watch`` interval — is answered with a ``protocol`` error and never
+takes the server down for the other sessions.  Two
 transport-specific edges close the file: TCP reassembles a message
 split across the handshake read, and UDP refuses a checkpoint too big
 for one datagram without losing the session.
@@ -18,6 +19,8 @@ for one datagram without losing the session.
 from __future__ import annotations
 
 import asyncio
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -70,6 +73,23 @@ def _engine() -> AirFinger:
 
 def _reference(frames) -> list[str]:
     return [repr(e) for e in _engine().feed_frames(frames)]
+
+
+async def _send_raw_row(client, row: str) -> None:
+    """Send a one-row ``frames`` message with *row* spliced in verbatim.
+
+    Both clients encode with ``allow_nan=False``; splicing the row into
+    the encoded text lets a test send what a foreign peer could.
+    """
+    message = {"type": "frames", "frames": ["ROW"]}
+    if isinstance(client, UdpServeClient):
+        message.update(tenant=client.tenant, session=client.session)
+    body = json.dumps(message).replace('"ROW"', row).encode("utf-8")
+    if isinstance(client, UdpServeClient):
+        client._transport.sendto(body)
+    else:
+        client._writer.write(struct.pack(">I", len(body)) + body)
+        await client._writer.drain()
 
 
 def _cut_inside_gesture(frames) -> int:
@@ -244,14 +264,30 @@ class TestSessionContract:
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("values", [[1.0, 2.0], [], "123"],
-                             ids=["two-channels", "no-channels", "string"])
-    def test_bad_frames_get_protocol_error(self, transport, frames,
-                                           values):
+    # one frame row as raw JSON text, so rows the clients' strict
+    # encoders refuse (NaN, Infinity, 1e400 — which ``json.loads`` reads
+    # as inf) reach the server too
+    @pytest.mark.parametrize("row", [
+        "[50, 0.5, [1.0, 2.0]]",
+        "[50, 0.5, []]",
+        '[50, 0.5, "123"]',
+        "[Infinity, 0.5, [{values}]]",
+        "[50.5, 0.5, [{values}]]",
+        "[1" + "0" * 30 + ", 0.5, [{values}]]",
+        "[50, NaN, [{values}]]",
+        "[50, 0.5, [NaN{rest}]]",
+        "[50, 0.5, [1e400{rest}]]",
+    ], ids=["two-channels", "no-channels", "string", "infinite-index",
+            "fractional-index", "int64-overflow-index", "nan-time",
+            "nan-value", "overflow-value"])
+    def test_bad_frames_get_protocol_error(self, transport, frames, row):
         """A frames message the session's engine would choke on is
         refused before any of it is queued; other sessions carry on."""
         server_cls, client_cls = transport
         good = frames[:50]
+        width = len(good[0].values)
+        row = row.format(values=", ".join(["1.0"] * width),
+                         rest=", 1.0" * (width - 1))
 
         async def run():
             manager = _manager()
@@ -260,8 +296,7 @@ class TestMalformedInput:
                                                "t0", "bad")
                 seen = _capture(bad)
                 await bad.send_frames(good)
-                await bad._send({"type": "frames",
-                                 "frames": [[50, 0.5, values]]})
+                await _send_raw_row(bad, row)
                 await _expect_error(bad)
                 frames_in = manager.get("t0", "bad").frames_in
                 await bad.close()

@@ -64,7 +64,7 @@ def _state_fingerprint(engine):
     return repr((
         engine._pos, engine._fed, engine._anchor, engine._last_time_s,
         engine._last_values, tuple(engine._delta), len(engine._raw),
-        seg._index, seg._threshold, seg._env_sum, seg._open_start,
+        seg._index, seg._threshold, seg._envelope._sum, seg._open_start,
         seg._pending, seg._gap, seg._since_refresh, seg._hist_len,
     ))
 

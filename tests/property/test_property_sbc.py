@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.sbc import StreamingSbc, prefilter, sbc_transform
+from repro.core.sbc import (
+    StreamingMovingAverage,
+    StreamingSbc,
+    prefilter,
+    sbc_transform,
+)
 
 signals = arrays(
     dtype=np.float64,
@@ -50,7 +55,7 @@ def test_sbc_quadratic_scaling(x, w, scale):
 @settings(max_examples=40, deadline=None)
 def test_streaming_matches_offline(x, w):
     stream = StreamingSbc(w)
-    np.testing.assert_allclose(stream.push_many(x), sbc_transform(x, w),
+    np.testing.assert_allclose(stream.push_block(x), sbc_transform(x, w),
                                rtol=1e-9, atol=1e-9)
 
 
@@ -71,3 +76,22 @@ def test_prefilter_constant_fixed_point(x, w):
         return
     c = np.full_like(x, 3.7)
     np.testing.assert_allclose(prefilter(c, w), c)
+
+
+@given(signals, windows, st.lists(st.integers(min_value=1, max_value=60),
+                                  min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_moving_average_block_replay_is_bit_exact(x, w, sizes):
+    """Any block split of any input replays the scalar carry exactly."""
+    scalar = StreamingMovingAverage(w)
+    ref = [scalar.push(v) for v in x.tolist()]
+    block = StreamingMovingAverage(w)
+    got = block.push_block(x[:0]).tolist()
+    i = 0
+    while i < x.size:
+        for size in sizes:
+            got.extend(block.push_block(x[i:i + size]).tolist())
+            i += size
+    assert [repr(v) for v in got] == [repr(v) for v in ref]
+    assert repr(block._sum) == repr(scalar._sum)
+    assert list(block._buffer) == list(scalar._buffer)

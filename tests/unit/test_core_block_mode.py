@@ -46,7 +46,7 @@ class TestStreamingMovingAverageBlock:
 class TestStreamingSbcBlock:
     def test_matches_scalar_bitwise_on_adc_grid(self):
         rng = _rng(2)
-        # ADC codes land on the 2^-20 grid the fast path requires
+        # ADC-like values: multiples of 1/16
         x = np.round(rng.uniform(0, 4096, size=300) * 16) / 16
         for split in (1, 7, 128):
             scalar = StreamingSbc(3)
@@ -58,7 +58,7 @@ class TestStreamingSbcBlock:
             assert [repr(a) for a in ref] == [repr(b) for b in got]
 
     def test_matches_scalar_off_grid(self):
-        # irrational-ish inputs force the sequential fallback; the
+        # irrational-ish inputs: every partial sum rounds, and the
         # contract (bit-identity) must hold regardless
         rng = _rng(3)
         x = rng.normal(size=100) * np.pi
@@ -115,7 +115,7 @@ class TestSegmenterBlock:
             assert got == ref, split
             assert repr(block.threshold) == repr(scalar.threshold)
             assert block._index == scalar._index
-            assert repr(block._env_sum) == repr(scalar._env_sum)
+            assert repr(block._envelope._sum) == repr(scalar._envelope._sum)
             assert block._since_refresh == scalar._since_refresh
 
     def test_block_reports_threshold_trajectory(self):

@@ -63,12 +63,12 @@ class TestStreamingSbc:
     def test_matches_offline(self, window):
         x = np.random.default_rng(2).normal(0, 1, 80)
         stream = StreamingSbc(window)
-        np.testing.assert_allclose(stream.push_many(x),
+        np.testing.assert_allclose(stream.push_block(x),
                                    sbc_transform(x, window))
 
     def test_reset(self):
         s = StreamingSbc(2)
-        s.push_many(np.arange(10, dtype=float))
+        s.push_block(np.arange(10, dtype=float))
         s.reset()
         assert s.samples_seen == 0
         assert s.push(1.0) == 0.0  # warm-up again
